@@ -7,9 +7,9 @@ means the latency expressed in wall-clock (here: virtual) time scales with
 how fast blocks are produced, i.e. with the workload's arrival rate.
 
 This benchmark sweeps the ``gdpr-erasure`` scenario's ``mean_gap_ms`` — the
-arrival-rate knob of the workload→scenario bridge
-(:class:`repro.workloads.driver.ScenarioWorkloadDriver`) — and records, per
-rate,
+arrival-rate knob of its one closed-loop client
+(:class:`repro.workloads.fleet.FleetDriver` at ``in_flight_budget=0``) —
+and records, per rate,
 
 * the virtual-millisecond deletion latency histogram (request → physical
   cut-off at a marker shift),
@@ -57,7 +57,7 @@ def measure(mean_gap_ms: float) -> dict[str, float]:
     assert result["replicas_identical"] is True, (
         f"gdpr-erasure did not converge at mean_gap_ms={mean_gap_ms}"
     )
-    workload = result["report"]["workloads"]["gdpr-erasure"]
+    workload = result["report"]["workloads"]["gdpr-erasure"]["clients"]["client-0"]
     chain = result["report"]["final_chain_statistics"]
     latency = workload["deletion_latency_ms"]
     return {

@@ -3,7 +3,7 @@
 
 ``examples/gdpr_erasure.py`` replays the Art. 17 workload synchronously
 against an in-process chain.  This example runs the same workload through
-the workload→scenario bridge instead: records arrive on a seeded virtual
+the scenario's workload driver instead: records arrive on a seeded virtual
 timeline, travel to a replicated three-anchor deployment over a latency-
 bearing transport, and erasure requests trail the stream — so the deletion
 latency reported here is measured in *virtual milliseconds* between the
@@ -29,7 +29,8 @@ def main() -> None:
     print("GDPR right-to-erasure on the simulated anchor deployment")
     print("--------------------------------------------------------")
     for label, result in runs.items():
-        workload = result["report"]["workloads"]["gdpr-erasure"]
+        # One closed-loop client: its counters are fleet client 0's.
+        workload = result["report"]["workloads"]["gdpr-erasure"]["clients"]["client-0"]
         latency = workload["deletion_latency_ms"]
         chain = result["report"]["final_chain_statistics"]
         print(f"{label} (mean gap {result['parameters']['mean_gap_ms']} ms):")
@@ -57,8 +58,8 @@ def main() -> None:
         assert workload["deletions_pending"] == 0
         assert chain["living_blocks"] < chain["total_blocks_created"] / 10
 
-    fast = runs["fast arrivals"]["report"]["workloads"]["gdpr-erasure"]
-    slow = runs["slow arrivals"]["report"]["workloads"]["gdpr-erasure"]
+    fast = runs["fast arrivals"]["report"]["workloads"]["gdpr-erasure"]["clients"]["client-0"]
+    slow = runs["slow arrivals"]["report"]["workloads"]["gdpr-erasure"]["clients"]["client-0"]
     assert fast["deletion_latency_ms"]["mean"] <= slow["deletion_latency_ms"]["mean"]
     print("slower arrivals -> longer virtual-time deletion latency "
           "(the block-count bound is constant; blocks just take longer).")

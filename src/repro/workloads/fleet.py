@@ -1,16 +1,20 @@
-"""Open-loop multi-client traffic engine.
+"""The workload driver: one or many seeded clients on the event kernel.
 
-:class:`~repro.workloads.driver.ScenarioWorkloadDriver` is a *closed loop*:
-event ``n+1`` is booked only once event ``n`` completes, so the deployment
-services exactly one request at a time and every latency number is an
-artifact of sequential issue.  A real population of clients does not wait
-for each other — requests land when their senders decide, and a saturated
-service accumulates backlog or drops work.  This module supplies that
-missing traffic model:
+:func:`~repro.workloads.base.replay` executes a workload *synchronously* —
+event after event, no notion of time between them.  The paper's evaluation
+is about application workloads (erasure requests, audit logs, telemetry)
+exercising selective deletion under realistic network conditions, so this
+module books every :class:`~repro.workloads.base.WorkloadEvent` as a *kernel
+event* at its virtual arrival time, executed against any
+:class:`~repro.service.client.LedgerClient` — in the named scenarios a
+:class:`~repro.service.remote.RemoteLedgerClient` bound to a replicated
+anchor deployment, so deletion latency, marker shifts and anti-entropy
+interact with message latency, loss and partitions on virtual time.  Every
+scenario's traffic, one client or many, runs through :class:`FleetDriver`:
 
 * :func:`derive_client_seed` derives one sub-seed per fleet client from the
-  fleet seed (client 0 keeps the fleet seed itself, so a one-client fleet is
-  the single-driver run under another name);
+  fleet seed (client 0 keeps the fleet seed itself, so a one-client fleet
+  runs exactly the workload it was given);
 * :func:`fleet_timeline` builds every client's
   :func:`~repro.workloads.base.arrival_schedule` timeline and interleaves
   them deterministically (sorted by arrival time, ties broken by client then
@@ -28,12 +32,11 @@ missing traffic model:
   :func:`~repro.workloads.stats.latency_summary` land under
   ``report["workloads"]``.
 
-``in_flight_budget=0`` selects the **closed-loop spec mode**: the global
-interleaved timeline is chained exactly like the single driver (event
-``k+1`` books when ``k`` completes, at ``max(arrival, now)``), which makes a
-one-client zero-budget fleet reproduce the
-:class:`~repro.workloads.driver.ScenarioWorkloadDriver` run byte-identically
-— the executable-spec pin of ``tests/test_workload_contract.py``.
+``in_flight_budget=0`` selects the **closed loop**: the global interleaved
+timeline is chained (event ``k+1`` books when ``k`` completes, at
+``max(arrival, now)``), so the deployment services exactly one request at a
+time and arrivals faster than the round trip queue up as backlog.  The
+one-client workload scenarios run in this mode.
 
 Determinism: sub-seeds and timelines are pure functions of the fleet seed,
 the kernel's seeded tie-break orders same-instant arrivals, and all reported
@@ -59,10 +62,9 @@ from repro.service.client import (
     as_reference,
 )
 from repro.workloads.base import EventKind, Workload, WorkloadEvent, arrival_schedule
-from repro.workloads.driver import WorkloadRunStats
-from repro.workloads.stats import latency_summary
+from repro.workloads.stats import WorkloadRunStats, latency_summary
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kernel is optional)
+if TYPE_CHECKING:  # pragma: no cover - repro.network imports this module
     from repro.network.kernel import EventKernel
 
 #: Hook invoked after every ENTRY submission:
@@ -94,8 +96,8 @@ class FleetPolicy(str, Enum):
 def derive_client_seed(seed: int, client_index: int) -> int:
     """The deterministic sub-seed of fleet client ``client_index``.
 
-    Client 0 keeps ``seed`` unchanged (a one-client fleet *is* the
-    single-driver run); further clients hash-mix ``(seed, client_index)``
+    Client 0 keeps ``seed`` unchanged (a one-client fleet runs on the
+    caller's own seed); further clients hash-mix ``(seed, client_index)``
     through SHA-256 so distinct fleets never share a per-client sub-stream.
     """
     if client_index < 0:
@@ -238,8 +240,21 @@ class FleetDriver:
         Per-client arrival-rate knobs, forwarded to
         :func:`~repro.workloads.base.arrival_schedule`.  The fleet's offered
         load scales with ``n_clients / mean_gap_ms``.
-    kernel / bus / start_at_ms / one_block_per_entry / expiry_ms_per_tick:
-        As on :class:`~repro.workloads.driver.ScenarioWorkloadDriver`.
+    kernel:
+        The :class:`~repro.network.kernel.EventKernel` the arrivals are
+        booked on.
+    bus:
+        The producer chain's :class:`~repro.core.events.EventBus`.  When
+        given, the driver subscribes to the typed deletion events and
+        measures request→execution latency in virtual milliseconds.
+    start_at_ms:
+        Offset added to every arrival time (traffic does not start at the
+        beginning of virtual time).
+    expiry_ms_per_tick:
+        When set, temporary-entry bounds (``expires_at_time``, expressed in
+        workload ticks) are rescaled into virtual milliseconds — chains on a
+        :class:`~repro.core.clock.SimulationClock` measure time in kernel
+        milliseconds, not workload ticks.  ``None`` passes them through.
     in_flight_budget:
         Maximum number of requests admitted to service (issued, not yet
         completed) at any instant — shared across the whole fleet.  ``0``
@@ -279,10 +294,9 @@ class FleetDriver:
         mean_gap_ms: float,
         jitter: float = 0.5,
         ms_per_tick: float = 1.0,
-        kernel: Optional["EventKernel"] = None,
+        kernel: "EventKernel",
         bus: Optional[EventBus] = None,
         start_at_ms: float = 0.0,
-        one_block_per_entry: bool = True,
         expiry_ms_per_tick: Optional[float] = None,
         in_flight_budget: int = 8,
         policy: FleetPolicy | str = FleetPolicy.QUEUE,
@@ -310,7 +324,6 @@ class FleetDriver:
         self.client = self.clients[0]
         self.kernel = kernel
         self.start_at_ms = float(start_at_ms)
-        self.one_block_per_entry = one_block_per_entry
         self.expiry_ms_per_tick = expiry_ms_per_tick
         self.in_flight_budget = int(in_flight_budget)
         self.policy = FleetPolicy(policy)
@@ -319,7 +332,7 @@ class FleetDriver:
         self.lane_count = lane_count
         #: Event-driven pump active: multi-lane fleets issue requests
         #: asynchronously so lanes overlap without nesting blocking waits.
-        self._async = kernel is not None and lane_count is not None and lane_count > 1
+        self._async = lane_count is not None and lane_count > 1
         #: Called once after the final arrival has completed or been shed.
         self.on_finished: Optional[Callable[[], None]] = None
         self.timeline: list[FleetArrival] = fleet_timeline(
@@ -364,14 +377,14 @@ class FleetDriver:
         self._deletion_owner: dict[tuple[int, int], int] = {}
         self._latency_subscription: Optional[Subscription] = None
         self._bus = bus
-        if bus is not None and kernel is not None:
+        if bus is not None:
             self._latency_subscription = bus.subscribe(
                 self._on_deletion_event,
                 types=(EventType.DELETION_REQUESTED, EventType.DELETION_EXECUTED),
             )
 
     # ------------------------------------------------------------------ #
-    # Execution modes
+    # Scheduling
     # ------------------------------------------------------------------ #
 
     def schedule(self) -> float:
@@ -383,12 +396,13 @@ class FleetDriver:
         trip overrunning the next arrival cannot nest executions.
 
         Closed loop (``in_flight_budget == 0``): the interleaved timeline is
-        chained exactly like
-        :meth:`~repro.workloads.driver.ScenarioWorkloadDriver.schedule` —
-        the executable-spec mode.
+        *chained* — event ``k+1`` is booked once event ``k`` has completed,
+        at ``max(its arrival time, now)``.  Booking the whole timeline up
+        front would let a blocking round trip that overruns the next arrival
+        execute that next event *nested inside itself*; chaining bounds the
+        depth at one event and models a client that issues requests
+        sequentially.
         """
-        if self.kernel is None:
-            raise ValueError("schedule() requires a kernel; use run() without one")
         if self._scheduled:
             raise ValueError("the fleet timeline is already scheduled")
         self._scheduled = True
@@ -409,25 +423,8 @@ class FleetDriver:
                 )
         return self.stats.horizon_ms
 
-    def run(self) -> FleetRunStats:
-        """Execute the interleaved timeline immediately, in arrival order.
-
-        The kernel-less parity mode: the fleet performs exactly the protocol
-        operations a closed-loop replay performs, in timeline order — the
-        conformance suite pins a one-client fleet against
-        :func:`~repro.workloads.base.replay` and the single driver with it.
-        """
-        if self.kernel is not None:
-            raise ValueError("run() is the kernel-less mode; use schedule() with a kernel")
-        for arrival in self.timeline:
-            self._execute(arrival)
-            self._complete(arrival)
-        if not self.timeline:
-            self._finish()
-        return self.stats
-
     # ------------------------------------------------------------------ #
-    # Closed-loop spec mode (budget 0)
+    # Closed loop (budget 0)
     # ------------------------------------------------------------------ #
 
     def _schedule_closed(self, index: int) -> None:
@@ -435,7 +432,6 @@ class FleetDriver:
             self._finish()
             return
         kernel = self.kernel
-        assert kernel is not None
         arrival = self.timeline[index]
 
         def fire() -> None:
@@ -554,7 +550,6 @@ class FleetDriver:
         """Book a zero-delay kernel event that re-enters a lane's pump."""
         if lane in self._waking:
             return
-        assert self.kernel is not None
         self._waking.add(lane)
         self.kernel.schedule_at(
             self.kernel.now,
@@ -635,7 +630,7 @@ class FleetDriver:
             on_receipt=on_receipt,
             expires_at_time=self._rescale_expiry(event.expires_at_time),
             expires_at_block=event.expires_at_block,
-            seal=self.one_block_per_entry,
+            seal=True,
         )
 
     def _shed(self, arrival: FleetArrival) -> None:
@@ -643,7 +638,7 @@ class FleetDriver:
         client.shed += 1
         self.stats.shed += 1
         self._processed += 1
-        self._note_completion_time()
+        self.stats.completed_at_ms = self.kernel.now
         if self._processed >= self.stats.events_total:
             self._finish()
 
@@ -652,17 +647,12 @@ class FleetDriver:
         client.executed += 1
         self.stats.executed += 1
         self._processed += 1
-        if self.kernel is not None:
-            latency = round(self.kernel.now - arrival.at_ms, 6)
-            client.request_latency_ms.append(latency)
-            self.stats.request_latency_ms.append(latency)
-        self._note_completion_time()
+        latency = round(self.kernel.now - arrival.at_ms, 6)
+        client.request_latency_ms.append(latency)
+        self.stats.request_latency_ms.append(latency)
+        self.stats.completed_at_ms = self.kernel.now
         if self._processed >= self.stats.events_total:
             self._finish()
-
-    def _note_completion_time(self) -> None:
-        if self.kernel is not None:
-            self.stats.completed_at_ms = self.kernel.now
 
     def _finish(self) -> None:
         if self._finished:
@@ -672,7 +662,7 @@ class FleetDriver:
             self.on_finished()
 
     # ------------------------------------------------------------------ #
-    # Event execution (mirrors ScenarioWorkloadDriver._execute per client)
+    # Event execution
     # ------------------------------------------------------------------ #
 
     def _execute(self, arrival: FleetArrival) -> None:
@@ -685,7 +675,7 @@ class FleetDriver:
                 event.author,
                 expires_at_time=self._rescale_expiry(event.expires_at_time),
                 expires_at_block=event.expires_at_block,
-                seal=self.one_block_per_entry,
+                seal=True,
             )
             stats.entries_submitted += 1
             if not receipt.ok:
@@ -704,8 +694,10 @@ class FleetDriver:
             try:
                 idle_block = client.tick(event.idle_ticks)
             except LedgerError:
-                # As in the single driver: one lost tick round trip on a
-                # lossy transport must not abort the timeline.
+                # Unlike submit/request_deletion, the tick protocol path
+                # raises on a failed round trip (a lost response on a lossy
+                # transport).  One lost tick must not abort the timeline —
+                # record it and carry on.
                 stats.idle_rejected += 1
                 return
             if idle_block:
@@ -753,7 +745,6 @@ class FleetDriver:
     # ------------------------------------------------------------------ #
 
     def _on_deletion_event(self, event: ChainEvent) -> None:
-        assert self.kernel is not None
         reference = event.payload.get("reference") or {}
         key = (reference.get("block_number"), reference.get("entry_number"))
         if None in key:

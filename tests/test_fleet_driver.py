@@ -30,12 +30,12 @@ from repro.workloads import (
     FleetDriver,
     FleetPolicy,
     LoginAuditWorkload,
-    WorkloadRunStats,
     derive_client_seed,
     has_samples,
     latency_summary,
     percentile,
 )
+from repro.workloads.stats import WorkloadRunStats
 
 # --------------------------------------------------------------------- #
 # Percentile estimator vs oracles

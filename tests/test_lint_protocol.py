@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.lint.engine import run_lint
 from repro.lint.project import Project
 from repro.lint.rules_protocol import (
@@ -187,25 +189,21 @@ class TestEventSubscriptions:
 class TestRealProtocol:
     """The live tree, as the protocol rules see it."""
 
-    def real_model(self):
-        project = Project.from_root(REPO_ROOT)
-        return build_protocol_model(project)
+    @pytest.fixture(scope="class")
+    def model(self):
+        return build_protocol_model(Project.from_root(REPO_ROOT))
 
-    def test_every_registered_kind_is_accounted_for(self):
-        model = self.real_model()
+    def test_every_registered_kind_is_accounted_for(self, model):
         assert len(model.members) >= 20
         unaccounted = set(model.members) - model.accounted
         assert not unaccounted, f"kinds with no handler or reply site: {sorted(unaccounted)}"
 
-    def test_taxonomy_table_matches_registry(self):
-        model = self.real_model()
+    def test_taxonomy_table_matches_registry(self, model):
         assert set(model.members) == model.documented
 
-    def test_one_way_kinds_are_declared(self):
-        model = self.real_model()
+    def test_one_way_kinds_are_declared(self, model):
         assert "SYNC_DIGEST" in model.one_way
 
-    def test_node_dispatch_table_extracted(self):
-        model = self.real_model()
+    def test_node_dispatch_table_extracted(self, model):
         assert model.node_handlers.get("FIND_ENTRY") == "_handle_find_entry"
         assert len(model.node_handlers) >= 10

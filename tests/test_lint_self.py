@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.lint.base import rule_ids
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -24,6 +26,12 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         cwd=REPO_ROOT,
         env=env,
     )
+
+
+@pytest.fixture(scope="module")
+def json_scan() -> subprocess.CompletedProcess:
+    """One default-scope ``--format json`` run, shared by the tests reading it."""
+    return run_cli("--format", "json")
 
 
 class TestSelfCheck:
@@ -47,10 +55,9 @@ class TestSelfCheck:
         ):
             assert rule_id in result.stdout, rule_id
 
-    def test_bad_fixture_is_excluded_from_default_scan(self):
-        result = run_cli("--format", "json")
-        assert result.returncode == 0
-        payload = json.loads(result.stdout)
+    def test_bad_fixture_is_excluded_from_default_scan(self, json_scan):
+        assert json_scan.returncode == 0
+        payload = json.loads(json_scan.stdout)
         scanned_bad = [
             row
             for row in payload["findings"] + payload["suppressed"]
@@ -58,9 +65,8 @@ class TestSelfCheck:
         ]
         assert not scanned_bad
 
-    def test_json_report_shape(self):
-        result = run_cli("--format", "json")
-        payload = json.loads(result.stdout)
+    def test_json_report_shape(self, json_scan):
+        payload = json.loads(json_scan.stdout)
         assert payload["clean"] is True
         assert payload["files_scanned"] > 100
         assert payload["rules_run"] == len(rule_ids())

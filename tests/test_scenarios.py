@@ -1,5 +1,6 @@
 """Scenario-engine tests: determinism pin, scheduled faults, gossip, failover."""
 
+import hashlib
 import json
 
 import pytest
@@ -19,6 +20,7 @@ from repro.network import (
     run_scenario,
     scenario_names,
 )
+from repro.workloads.stats import WorkloadRunStats
 
 
 class TestDeterminismPin:
@@ -84,6 +86,43 @@ class TestDeterminismPin:
             )(lambda seed, params: {})
         assert "'evnets'" in str(excinfo.value)
         assert "typo-smoke-check" not in SCENARIOS
+
+
+class TestClosedLoopGoldenPin:
+    """The one-client workload scenarios are pinned to fixed digests.
+
+    Each digest hashes the whole scenario result at default parameters,
+    with every ``report["workloads"]`` block reduced to its sole client's
+    :class:`~repro.workloads.stats.WorkloadRunStats` counters.  The digests
+    were recorded with the original closed-loop driver, before every
+    scenario ran through the fleet engine, so they pin that the closed loop
+    (``in_flight_budget=0``) books, executes and counts exactly as before.
+    """
+
+    DIGESTS = {
+        ("gdpr-erasure", 7): "da2dac2ad50b36e2f2fd6744af0c59404714ddeeb8efbe6a81878a8f59f8a193",
+        ("gdpr-erasure", 23): "78732c2d9d6fc18ef9c23bd7e2fbad5c847c4d0d3b6207187e8d17a4da8466fb",
+        ("supply-chain-recall", 7): "0b12da5133d8eb5274d7127f74cf6401e72616affa7ac717a01fd816a43e468e",
+        ("supply-chain-recall", 23): "53a056ae1f237017d9276c418649a2a40ad48c4b3d54b9fd609890bbe03ea996",
+        ("vehicle-telemetry", 7): "3cb6f1d745523ed97dc6392a7fa9a8610b62f2046ec91e02d6ce85ac3447c955",
+        ("vehicle-telemetry", 23): "dc7fcd470a1a962671de2deb01d7ee87997170d24cfc795e5092b5f21890dd14",
+        ("coin-economy", 7): "fa75eee08810aa0e57cffc13ad7eb4ecc91f4487ee6cb5092f1d89dff22dab5d",
+        ("coin-economy", 23): "175e145067bc5643f89500fc165d6e3a5fa29903b5f942f89c15ddf08e751bc7",
+    }
+
+    @pytest.mark.parametrize(
+        "name,seed", sorted(DIGESTS), ids=[f"{name}-{seed}" for name, seed in sorted(DIGESTS)]
+    )
+    def test_default_run_matches_the_recorded_digest(self, name, seed):
+        counters = tuple(WorkloadRunStats().as_dict())
+        result = run_scenario(name, seed=seed)
+        workloads = result["report"]["workloads"]
+        for workload, block in workloads.items():
+            assert block["n_clients"] == 1
+            client = block["clients"]["client-0"]
+            workloads[workload] = {key: client[key] for key in counters}
+        digest = hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
+        assert digest == self.DIGESTS[(name, seed)]
 
 
 class TestCatalogueDocsSync:
@@ -279,7 +318,7 @@ class TestScenarioOutcomes:
 
     def test_gdpr_erasure_executes_requests_with_virtual_latency(self):
         result = run_scenario("gdpr-erasure", seed=7, smoke=True)
-        workload = result["report"]["workloads"]["gdpr-erasure"]
+        workload = result["report"]["workloads"]["gdpr-erasure"]["clients"]["client-0"]
         assert workload["entries_submitted"] > 0
         assert workload["deletions_requested"] > 0
         assert workload["deletions_executed"] > 0
@@ -305,7 +344,7 @@ class TestScenarioOutcomes:
         assert result["replicas_identical"] is True
         # ... and decommissioning produced authority deletions.
         assert result["decommissioned_vehicles"]
-        workload = result["report"]["workloads"]["vehicle-lifecycle"]
+        workload = result["report"]["workloads"]["vehicle-lifecycle"]["clients"]["client-0"]
         assert workload["deletions_requested"] > 0
         assert workload["deletions_approved"] > 0
 
@@ -314,7 +353,7 @@ class TestScenarioOutcomes:
         assert result["lost_wallets"]
         assert result["reclaimable_outputs"] > 0
         assert result["recovered_outputs"] == result["reclaimable_outputs"]
-        workload = result["report"]["workloads"]["coin-transfers"]
+        workload = result["report"]["workloads"]["coin-transfers"]["clients"]["client-0"]
         assert workload["deletions_approved"] == result["recovered_outputs"]
         assert result["replicas_identical"] is True
 
