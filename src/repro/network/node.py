@@ -574,8 +574,8 @@ class AnchorNode:
     def _announce(self, block: Block) -> None:
         if self.gossip is not None:
             # Gossip-backed dissemination: seed the overlay with the sealed
-            # block; peers re-forward hop by hop (over the kernel's virtual
-            # clock when the transport is scheduled).
+            # block; peers re-forward hop by hop over the kernel's virtual
+            # clock.
             self._gossip_forward(block.block_hash, block.to_dict(), hops=0)
             return
         message = Message(
@@ -987,7 +987,7 @@ class ClientNode:
         The signed entry goes out immediately and ``on_response`` fires when
         the anchor's response arrives (or with an error message on a silent
         transport), so many submissions — this client's or others' — overlap
-        on the kernel.  Requires a kernel-backed transport.
+        on the kernel.
         """
         entry = self._sign_entry(
             Entry(

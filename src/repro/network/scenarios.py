@@ -100,7 +100,7 @@ from repro.core.entry import EntryReference
 from repro.core.errors import SelectiveDeletionError
 from repro.network.gossip import GossipOverlay, GossipTopology
 from repro.network.kernel import EventKernel
-from repro.network.message import MessageKind, reset_message_counter
+from repro.network.message import Message, MessageKind, reset_message_counter
 from repro.network.simulator import NetworkSimulator
 from repro.network.transport import GeoLatencyModel, LatencyModel
 from repro.service.sharding import ShardRouter
@@ -330,7 +330,6 @@ def _bursty_traffic(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         seed, anchors=int(params["anchors"]), fanout=int(params["fanout"]), config=config
     )
     kernel = simulator.kernel
-    assert kernel is not None
     users = ["ALPHA", "BRAVO", "CHARLIE"]
     for user in users:
         simulator.add_client(user)
@@ -383,7 +382,6 @@ def _bursty_traffic(seed: int, params: dict[str, Any]) -> dict[str, Any]:
 def _node_churn(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     simulator = _deployment(seed, anchors=int(params["anchors"]), fanout=int(params["fanout"]))
     kernel = simulator.kernel
-    assert kernel is not None
     simulator.add_client("ALPHA")
     for node_id, down_at, up_at in params["churn"]:
         simulator.schedule_offline(node_id, float(down_at))
@@ -439,7 +437,6 @@ def _partition_and_heal(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         ),
     )
     kernel = simulator.kernel
-    assert kernel is not None
     simulator.add_client("ALPHA")
     ids = simulator.anchor_ids
     near, far = ids[: len(ids) // 2], ids[len(ids) // 2 :]
@@ -494,7 +491,6 @@ def _partition_and_heal(seed: int, params: dict[str, Any]) -> dict[str, Any]:
 def _failover_storm(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     simulator = _deployment(seed, anchors=int(params["anchors"]), fanout=int(params["fanout"]))
     kernel = simulator.kernel
-    assert kernel is not None
     simulator.add_client("ALPHA")
     first_producer = simulator.producer_id
     simulator.schedule_offline(first_producer, float(params["fail_at_ms"]))
@@ -562,7 +558,6 @@ def _geo_latency_profiles(seed: int, params: dict[str, Any]) -> dict[str, Any]:
             ),
         )
         kernel = simulator.kernel
-        assert kernel is not None
         simulator.add_client("ALPHA")
         for index in range(int(params["events"])):
             kernel.schedule_at(
@@ -599,7 +594,6 @@ def _gossip_vs_broadcast(seed: int, params: dict[str, Any]) -> dict[str, Any]:
             seed, anchors=int(params["anchors"]), overlay=overlay, fanout=int(params["fanout"])
         )
         kernel = simulator.kernel
-        assert kernel is not None
         simulator.add_client("ALPHA")
         for index in range(int(params["events"])):
             kernel.schedule_at(
@@ -671,7 +665,6 @@ def _replica_bootstrap(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         loss_rate=float(params["loss_rate"]),
     )
     kernel = simulator.kernel
-    assert kernel is not None
     simulator.add_client("ALPHA")
     straggler = simulator.anchor_ids[-1]
     horizon = float(params["rejoin_at_ms"]) + float(params["settle_ms"])
@@ -771,7 +764,6 @@ def _byzantine_producer(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     """
     simulator = _deployment(seed, anchors=int(params["anchors"]), fanout=int(params["fanout"]))
     kernel = simulator.kernel
-    assert kernel is not None
     simulator.add_client("ALPHA")
     byzantine = simulator.inject_adversary(
         EquivocatingProducer("byzantine-0", simulator.transport)
@@ -882,7 +874,6 @@ def _forged_erasure(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         cohesion_checker=model.as_cohesion_checker(),
     )
     kernel = simulator.kernel
-    assert kernel is not None
     simulator.add_client("ALPHA")
     forger = simulator.inject_adversary(DeletionForger("MALLORY", simulator.transport))
     references: dict[int, EntryReference] = {}
@@ -983,7 +974,6 @@ def _digest_spoof(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     """
     simulator = _deployment(seed, anchors=int(params["anchors"]), fanout=int(params["fanout"]))
     kernel = simulator.kernel
-    assert kernel is not None
     simulator.add_client("ALPHA")
     spoofer = simulator.inject_adversary(DigestSpoofer("spoofer-0", simulator.transport))
     horizon = 25.0 + float(params["events"]) * float(params["entry_gap_ms"]) + float(
@@ -1055,7 +1045,6 @@ def _clock_skew(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         config=ChainConfig.paper_evaluation(),
     )
     kernel = simulator.kernel
-    assert kernel is not None
     simulator.add_client("ALPHA")
     skewed_id = simulator.anchor_ids[-1]
     actor = simulator.inject_adversary(
@@ -1169,7 +1158,6 @@ def _book_idle_heartbeat(
     once workload traffic has ended.
     """
     kernel = simulator.kernel
-    assert kernel is not None
     kernel.every(
         float(params["idle_heartbeat_ms"]),
         lambda: simulator.producer.chain.idle_tick(),
@@ -1243,7 +1231,6 @@ def _gdpr_erasure(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         config=_workload_chain_config(params),
     )
     kernel = simulator.kernel
-    assert kernel is not None
 
     def build_workload(client_index: int) -> GdprErasureWorkload:
         return GdprErasureWorkload(
@@ -1369,7 +1356,6 @@ def _supply_chain_recall(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         admins=("REGULATOR",),
     )
     kernel = simulator.kernel
-    assert kernel is not None
     n_clients = int(params["n_clients"])
 
     def build_workload(client_index: int) -> SupplyChainWorkload:
@@ -1495,7 +1481,6 @@ def _vehicle_telemetry(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         admins=("REGISTRATION-AUTHORITY",),
     )
     kernel = simulator.kernel
-    assert kernel is not None
     n_clients = int(params["n_clients"])
 
     def build_workload(client_index: int) -> VehicleLifecycleWorkload:
@@ -1606,7 +1591,6 @@ def _coin_economy(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         admins=("RECOVERY",),
     )
     kernel = simulator.kernel
-    assert kernel is not None
     n_clients = int(params["n_clients"])
 
     def build_workload(client_index: int) -> CoinTransferWorkload:
@@ -1745,7 +1729,6 @@ def _fleet_saturation(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         config=_workload_chain_config(params),
     )
     kernel = simulator.kernel
-    assert kernel is not None
     n_clients = int(params["n_clients"])
     if n_clients < 1:
         raise ValueError("n_clients must be at least 1")
@@ -1874,7 +1857,6 @@ def _sharded_fleet(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         )
     ]
     kernel = simulators[0].kernel
-    assert kernel is not None
     for shard in range(1, shard_count):
         shard_seed = derive_client_seed(seed, shard)
         simulators.append(

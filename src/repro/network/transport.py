@@ -5,27 +5,21 @@ message fabric with per-link latency, fault injection (dropped links,
 partitions, outages, seeded probabilistic loss) and full message statistics
 for the evaluation harness.
 
-The transport runs in one of two modes:
-
-* **Synchronous compatibility mode** (no kernel): handlers are invoked
-  immediately in call order, exactly like the original prototype harness.
-  Latency samples are accounted in the statistics but do not affect
-  ordering — convenient for unit tests and the parity harness, but unable
-  to reproduce the reordering/failover effects of Section V-B4.
-* **Scheduled mode** (constructed with an
-  :class:`~repro.network.kernel.EventKernel`): every latency sample becomes
-  a *delivery time*.  Requests and responses are events on the kernel's
-  virtual clock, messages genuinely arrive out of order, and deliverability
-  (offline nodes, blocked links, partitions) is evaluated *at delivery
-  time* — so a message posted during a partition whose delivery time falls
-  after the heal does arrive, and one posted milliseconds before an outage
-  can still be lost.  Faults themselves can be scheduled as kernel events
-  (:meth:`InMemoryTransport.schedule_partition` and friends).
+Every transport runs on an :class:`~repro.network.kernel.EventKernel` — the
+caller's, or a private one built when none is passed.  Every latency sample
+becomes a *delivery time*: requests and responses are events on the
+kernel's virtual clock, messages genuinely arrive out of order, and
+deliverability (offline nodes, blocked links, partitions) is evaluated *at
+delivery time* — so a message posted during a partition whose delivery time
+falls after the heal does arrive, and one posted milliseconds before an
+outage can still be lost.  Faults themselves can be scheduled as kernel
+events (:meth:`InMemoryTransport.schedule_partition` and friends).
 
 Handlers are plain callables ``Message -> Message | None``.  Request/response
-exchanges use :meth:`InMemoryTransport.send`; one-way dissemination (gossip,
-block announcements) uses :meth:`InMemoryTransport.post`, whose handler
-return value is discarded.
+exchanges use :meth:`InMemoryTransport.send` (blocking on the virtual clock)
+or :meth:`InMemoryTransport.send_async` (continuation-passing); one-way
+dissemination (gossip, block announcements) uses
+:meth:`InMemoryTransport.post`, whose handler return value is discarded.
 """
 
 from __future__ import annotations
@@ -51,8 +45,7 @@ class TransportError(SelectiveDeletionError):
 class LatencyModel:
     """Deterministic pseudo-random latency per delivered message (in ms).
 
-    In scheduled mode the sample *is* the delivery delay; in synchronous
-    compatibility mode it is only accumulated into the statistics.  The
+    Each sample *is* a delivery delay on the kernel's virtual clock.  The
     per-link hook :meth:`sample_for` lets subclasses shape latency by
     endpoint pair (see :class:`GeoLatencyModel`).
     """
@@ -109,11 +102,9 @@ class GeoLatencyModel(LatencyModel):
 class TransportStatistics:
     """Counters the evaluation harness reads after a simulation run.
 
-    ``delivery_latency_ms`` sums the per-message latency samples.  In
-    scheduled mode these are true delivery latencies (they decided *when*
-    each message arrived); in synchronous mode they remain accounting-only
-    figures that never influenced ordering — the historical behaviour, kept
-    under the historical alias ``simulated_latency_ms``.
+    ``delivery_latency_ms`` sums the latency samples of delivered messages
+    — the delays that decided *when* each one arrived — and is also
+    reported under the historical alias ``simulated_latency_ms``.
 
     ``dropped`` counts messages undeliverable for *structural* reasons
     (offline node, blocked link, unknown recipient); ``lost`` counts
@@ -153,8 +144,8 @@ class TransportStatistics:
 class InMemoryTransport:
     """In-process message fabric with fault injection.
 
-    Without a kernel the transport is synchronous (see module docstring);
-    with one, every message delivery is a scheduled virtual-time event.
+    Every message delivery is a virtual-time event on ``kernel``; without
+    one the transport builds a private :class:`EventKernel`.
     """
 
     def __init__(
@@ -168,7 +159,7 @@ class InMemoryTransport:
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
         self.latency = latency or LatencyModel()
-        self.kernel = kernel
+        self.kernel = kernel if kernel is not None else EventKernel()
         #: Probability that any single delivery is silently eaten by the
         #: network (evaluated per message at delivery time, seeded — so runs
         #: replay identically).  Models the lossy links snapshot bootstrap
@@ -180,11 +171,6 @@ class InMemoryTransport:
         self._blocked_links: set[tuple[str, str]] = set()
         self._offline: set[str] = set()
         self.message_log: list[Message] = []
-
-    @property
-    def scheduled(self) -> bool:
-        """True when deliveries run on a kernel's virtual clock."""
-        return self.kernel is not None
 
     # ------------------------------------------------------------------ #
     # Registration and fault injection
@@ -260,23 +246,18 @@ class InMemoryTransport:
         return True
 
     # ------------------------------------------------------------------ #
-    # Scheduled fault injection (kernel mode)
+    # Scheduled fault injection
     # ------------------------------------------------------------------ #
-
-    def _require_kernel(self) -> EventKernel:
-        if self.kernel is None:
-            raise TransportError("scheduling faults requires a kernel-backed transport")
-        return self.kernel
 
     def schedule_offline(self, node_id: str, at: float) -> EventHandle:
         """Take a node off the network at virtual time ``at``."""
-        return self._require_kernel().schedule_at(
+        return self.kernel.schedule_at(
             at, lambda: self.set_offline(node_id, True), label=f"offline:{node_id}"
         )
 
     def schedule_online(self, node_id: str, at: float) -> EventHandle:
         """Bring a node back at virtual time ``at``."""
-        return self._require_kernel().schedule_at(
+        return self.kernel.schedule_at(
             at, lambda: self.set_offline(node_id, False), label=f"online:{node_id}"
         )
 
@@ -285,7 +266,7 @@ class InMemoryTransport:
     ) -> EventHandle:
         """Split the network into two groups at virtual time ``at``."""
         first, second = list(group_a), list(group_b)
-        return self._require_kernel().schedule_at(
+        return self.kernel.schedule_at(
             at, lambda: self.partition(first, second), label="partition"
         )
 
@@ -295,7 +276,7 @@ class InMemoryTransport:
         Messages already in flight whose delivery time falls after ``at``
         will arrive — the partition delayed them, it did not consume them.
         """
-        return self._require_kernel().schedule_at(at, self.heal_partition, label="heal")
+        return self.kernel.schedule_at(at, self.heal_partition, label="heal")
 
     # ------------------------------------------------------------------ #
     # Delivery
@@ -307,6 +288,39 @@ class InMemoryTransport:
         self.statistics.bytes_transferred += len(canonical_json(message.to_dict()).encode("utf-8"))
         self.message_log.append(message)
 
+    def _deliver_request(
+        self, recipient: str, message: Message, latency_ms: float
+    ) -> Optional[str]:
+        """Delivery-time checks of a request leg: deliverable, then loss,
+        then accounting.
+
+        Returns why the message did not arrive, or ``None`` once it has been
+        delivered and accounted.  The reason is a plain string so one-way
+        posts build no error :class:`Message` (whose id draw would shift
+        byte accounting).
+        """
+        if not self._deliverable(message.sender, recipient):
+            self.statistics.dropped += 1
+            return f"link {message.sender!r} -> {recipient!r} unavailable"
+        if self._loses():
+            return f"message {message.sender!r} -> {recipient!r} lost"
+        self._account_delivery(message, latency_ms)
+        return None
+
+    def _deliver_response(
+        self, recipient: str, message: Message, response: Message, latency_ms: float
+    ) -> Message:
+        """Delivery-time checks of a response leg: path open, then loss,
+        then accounting.  Returns ``response`` or the loss notice."""
+        if not self._path_open(recipient, message.sender):
+            self.statistics.dropped += 1
+        elif not self._loses():
+            self._account_delivery(response, latency_ms)
+            return response
+        return message.error(
+            "transport", f"response from {recipient!r} to {message.sender!r} lost"
+        )
+
     def send(
         self, recipient: str, message: Message, *, timeout_ms: Optional[float] = None
     ) -> Optional[Message]:
@@ -317,49 +331,15 @@ class InMemoryTransport:
         offline (callers can then retry against another anchor node, which is
         exactly the mitigation Section V-B4 proposes against node isolation).
 
-        In scheduled mode the exchange consumes virtual time: the request is
-        delivered at ``now + latency``, any events due earlier (other
-        messages, scheduled faults) run first, and the response travels back
-        with its own latency.  ``timeout_ms`` bounds the round trip —
-        ``None`` is returned when the (virtual) round trip exceeds it.
+        The exchange consumes virtual time: the request is delivered at
+        ``now + latency``, any events due earlier (other messages, scheduled
+        faults) run first, and the response travels back with its own
+        latency.  ``timeout_ms`` bounds the round trip — ``None`` is
+        returned when the (virtual) round trip exceeds it.
         """
         if recipient not in self._handlers:
             raise TransportError(f"unknown recipient {recipient!r}")
-        if self.kernel is not None:
-            return self._send_scheduled(recipient, message, timeout_ms)
-        return self._send_sync(recipient, message, timeout_ms)
-
-    def _send_sync(
-        self, recipient: str, message: Message, timeout_ms: Optional[float]
-    ) -> Optional[Message]:
-        if not self._deliverable(message.sender, recipient):
-            self.statistics.dropped += 1
-            return message.error("transport", f"link {message.sender!r} -> {recipient!r} unavailable")
-        if self._loses():
-            return message.error(
-                "transport", f"message {message.sender!r} -> {recipient!r} lost"
-            )
-        request_latency = self.latency.sample_for(message.sender, recipient)
-        self._account_delivery(message, request_latency)
-        response = self._handlers[recipient](message)
-        if response is None:
-            return None
-        response_latency = self.latency.sample_for(recipient, message.sender)
-        if timeout_ms is not None and request_latency + response_latency > timeout_ms:
-            self.statistics.timeouts += 1
-            return None
-        if self._loses():
-            return message.error(
-                "transport", f"response from {recipient!r} to {message.sender!r} lost"
-            )
-        self._account_delivery(response, response_latency)
-        return response
-
-    def _send_scheduled(
-        self, recipient: str, message: Message, timeout_ms: Optional[float]
-    ) -> Optional[Message]:
         kernel = self.kernel
-        assert kernel is not None
         start = kernel.now
         request_latency = self.latency.sample_for(message.sender, recipient)
         outcome: dict[str, Any] = {}
@@ -367,20 +347,10 @@ class InMemoryTransport:
         def arrive() -> None:
             # Deliverability is decided at *delivery* time: faults scheduled
             # (or healed) while the message was in flight apply.
-            if not self._deliverable(message.sender, recipient):
-                self.statistics.dropped += 1
-                outcome["undeliverable"] = True
-                outcome["response"] = message.error(
-                    "transport", f"link {message.sender!r} -> {recipient!r} unavailable"
-                )
+            failure = self._deliver_request(recipient, message, request_latency)
+            if failure is not None:
+                outcome["response"] = message.error("transport", failure)
                 return
-            if self._loses():
-                outcome["undeliverable"] = True
-                outcome["response"] = message.error(
-                    "transport", f"message {message.sender!r} -> {recipient!r} lost"
-                )
-                return
-            self._account_delivery(message, request_latency)
             outcome["response"] = self._handlers[recipient](message)
             # The handler may itself have consumed virtual time (forwarding
             # to the producer, announcing blocks); the response leaves the
@@ -393,7 +363,7 @@ class InMemoryTransport:
         )
         kernel.run_until(start + request_latency)
         response = outcome.get("response")
-        if outcome.get("undeliverable") or response is None:
+        if response is None or "handled_at" not in outcome:
             return response
         response_latency = self.latency.sample_for(recipient, message.sender)
         arrival = float(outcome["handled_at"]) + response_latency
@@ -407,17 +377,7 @@ class InMemoryTransport:
         if timeout_ms is not None and arrival - start > timeout_ms:
             self.statistics.timeouts += 1
             return None
-        if not self._path_open(recipient, message.sender):
-            self.statistics.dropped += 1
-            return message.error(
-                "transport", f"response from {recipient!r} to {message.sender!r} lost"
-            )
-        if self._loses():
-            return message.error(
-                "transport", f"response from {recipient!r} to {message.sender!r} lost"
-            )
-        self._account_delivery(response, response_latency)
-        return response
+        return self._deliver_response(recipient, message, response, response_latency)
 
     def send_async(
         self,
@@ -427,7 +387,7 @@ class InMemoryTransport:
         on_response: Callable[[Optional[Message]], None],
         timeout_ms: Optional[float] = None,
     ) -> None:
-        """Event-driven request/response exchange (kernel mode only).
+        """Event-driven request/response exchange.
 
         Semantically :meth:`send`, but instead of waiting on the virtual
         clock the caller's continuation is invoked when the response
@@ -443,29 +403,17 @@ class InMemoryTransport:
         transport faults (matching :meth:`send`'s error surface), or
         ``None`` for a silent handler or an exceeded ``timeout_ms``.
         """
-        kernel = self._require_kernel()
         if recipient not in self._handlers:
             raise TransportError(f"unknown recipient {recipient!r}")
+        kernel = self.kernel
         start = kernel.now
         request_latency = self.latency.sample_for(message.sender, recipient)
 
         def arrive() -> None:
-            if not self._deliverable(message.sender, recipient):
-                self.statistics.dropped += 1
-                on_response(
-                    message.error(
-                        "transport", f"link {message.sender!r} -> {recipient!r} unavailable"
-                    )
-                )
+            failure = self._deliver_request(recipient, message, request_latency)
+            if failure is not None:
+                on_response(message.error("transport", failure))
                 return
-            if self._loses():
-                on_response(
-                    message.error(
-                        "transport", f"message {message.sender!r} -> {recipient!r} lost"
-                    )
-                )
-                return
-            self._account_delivery(message, request_latency)
             response = self._handlers[recipient](message)
             if response is None:
                 on_response(None)
@@ -477,31 +425,11 @@ class InMemoryTransport:
                 self.statistics.timeouts += 1
                 on_response(None)
                 return
-
-            def respond() -> None:
-                if not self._path_open(recipient, message.sender):
-                    self.statistics.dropped += 1
-                    on_response(
-                        message.error(
-                            "transport",
-                            f"response from {recipient!r} to {message.sender!r} lost",
-                        )
-                    )
-                    return
-                if self._loses():
-                    on_response(
-                        message.error(
-                            "transport",
-                            f"response from {recipient!r} to {message.sender!r} lost",
-                        )
-                    )
-                    return
-                self._account_delivery(response, response_latency)
-                on_response(response)
-
             kernel.schedule(
                 response_latency,
-                respond,
+                lambda: on_response(
+                    self._deliver_response(recipient, message, response, response_latency)
+                ),
                 label=f"respond:{message.kind.value}->{message.sender}",
             )
 
@@ -509,36 +437,20 @@ class InMemoryTransport:
             request_latency, arrive, label=f"deliver:{message.kind.value}->{recipient}"
         )
 
-    def post(self, recipient: str, message: Message) -> Optional[EventHandle]:
+    def post(self, recipient: str, message: Message) -> EventHandle:
         """Fire-and-forget one-way delivery; any handler response is discarded.
 
-        This is the primitive gossip and block announcements ride on.  In
-        scheduled mode the message is queued for delivery at ``now +
-        latency`` and the call returns immediately — delivery (and the
-        deliverability check) happens when the kernel reaches that instant,
-        so posts genuinely arrive out of order and may outlive partitions.
-        In synchronous mode the message is delivered inline.
+        This is the primitive gossip and block announcements ride on.  The
+        message is queued for delivery at ``now + latency`` and the call
+        returns immediately — delivery (and the deliverability check)
+        happens when the kernel reaches that instant, so posts genuinely
+        arrive out of order and may outlive partitions.
         """
-        if self.kernel is None:
-            if recipient not in self._handlers or not self._deliverable(message.sender, recipient):
-                self.statistics.dropped += 1
-                return None
-            if self._loses():
-                return None
-            self._account_delivery(message, self.latency.sample_for(message.sender, recipient))
-            self._handlers[recipient](message)
-            return None
-
         latency = self.latency.sample_for(message.sender, recipient)
 
         def arrive() -> None:
-            if not self._deliverable(message.sender, recipient):
-                self.statistics.dropped += 1
-                return
-            if self._loses():
-                return
-            self._account_delivery(message, latency)
-            self._handlers[recipient](message)
+            if self._deliver_request(recipient, message, latency) is None:
+                self._handlers[recipient](message)
 
         return self.kernel.schedule(
             latency, arrive, label=f"post:{message.kind.value}->{recipient}"

@@ -168,7 +168,7 @@ class RemoteLedgerClient(LedgerClient):
         expires_at_block: Optional[int] = None,
         seal: bool = True,
     ) -> None:
-        """:meth:`submit` without the virtual-time wait (kernel mode only).
+        """:meth:`submit` without the virtual-time wait.
 
         The receipt callback fires when the anchor's response arrives;
         failover walks the same target order as the blocking path, one

@@ -21,8 +21,8 @@ protocol over the ordinary message transport:
    :func:`repro.storage.snapshot.chain_from_payload`.
 
 Everything is deterministic: chunk boundaries are pure arithmetic, the
-digest is sha256 over the canonical payload, and on a kernel-backed
-transport each request/response consumes virtual time — so a bootstrap
+digest is sha256 over the canonical payload, and each request/response
+consumes virtual time on the transport's kernel — so a bootstrap
 under loss replays byte-identically for a given seed.
 """
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence, TypeVar
 
 from repro.core.errors import SelectiveDeletionError
 from repro.network.message import Message, MessageKind
@@ -40,6 +40,8 @@ from repro.storage.snapshot import snapshot_digest, snapshot_payload
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.chain import Blockchain
     from repro.network.transport import InMemoryTransport
+
+_Key = TypeVar("_Key")
 
 #: Default chunk size in characters of the serialised payload.  Small enough
 #: that a single loss costs one bounded retransmit, large enough that the
@@ -297,45 +299,11 @@ class PeerProbe:
     """One answered bootstrap probe: who, how far, how busy, serving what."""
 
     peer_id: str
-    #: Probe round-trip time in virtual ms (``0.0`` on a synchronous
-    #: transport, where every peer is equally "near").
+    #: Probe round-trip time in virtual ms.
     rtt_ms: float
     #: Chunks the peer has served so far — its snapshot-serving load.
     load: int
     manifest: SnapshotManifest
-
-
-def probe_snapshot_peer(
-    transport: "InMemoryTransport",
-    requester_id: str,
-    peer_id: str,
-    *,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> Optional[PeerProbe]:
-    """Ask one peer for its snapshot manifest and serving load (no data).
-
-    Returns ``None`` for unreachable peers and peers that cannot serve a
-    snapshot — they simply drop out of the candidate ranking.
-    """
-    started = transport.kernel.now if transport.kernel is not None else 0.0
-    request = Message(
-        kind=MessageKind.SNAPSHOT_REQUEST,
-        sender=requester_id,
-        payload={"probe": True, "chunk_size": chunk_size},
-    )
-    try:
-        response = transport.send(peer_id, request)
-    except TransportError:
-        return None
-    if response is None or response.is_error:
-        return None
-    rtt = (transport.kernel.now - started) if transport.kernel is not None else 0.0
-    return PeerProbe(
-        peer_id=peer_id,
-        rtt_ms=round(rtt, 6),
-        load=int(response.payload.get("load", 0)),
-        manifest=SnapshotManifest.from_dict(response.payload["manifest"]),
-    )
 
 
 def rank_bootstrap_peers(
@@ -347,8 +315,8 @@ def rank_bootstrap_peers(
 ) -> list[PeerProbe]:
     """Probe every candidate and rank them nearest-and-least-loaded first.
 
-    All probes depart in one concurrent wave (one round trip of wall time on
-    a kernel transport, not one per candidate), and each peer's RTT is
+    All probes depart in one concurrent wave (one round trip of virtual
+    time, not one per candidate), and each peer's RTT is
     measured from the shared departure instant — directly comparable across
     peers.  The sort key is ``(rtt_ms, load, peer_id)``: proximity dominates
     (a bootstrap is dozens of round trips), serving load breaks latency
@@ -356,49 +324,24 @@ def rank_bootstrap_peers(
     byte-identically.  Unreachable and snapshot-less peers drop out.
     """
     candidates = [peer for peer in sorted(set(peer_ids)) if peer != requester_id]
+    started = transport.kernel.now
+    answers = _request_wave(
+        transport,
+        requester_id,
+        [
+            (peer_id, peer_id, {"probe": True, "chunk_size": chunk_size})
+            for peer_id in candidates
+        ],
+    )
     probes: list[PeerProbe] = []
-    kernel = transport.kernel
-    if kernel is None:
-        for peer_id in candidates:
-            probe = probe_snapshot_peer(
-                transport, requester_id, peer_id, chunk_size=chunk_size
-            )
-            if probe is not None:
-                probes.append(probe)
-        probes.sort(key=lambda probe: (probe.rtt_ms, probe.load, probe.peer_id))
-        return probes
-    started = kernel.now
-    results: dict[str, tuple[Optional[Message], float]] = {}
-    pending = {"count": 0}
     for peer_id in candidates:
-
-        def on_response(response: Optional[Message], peer_id: str = peer_id) -> None:
-            results[peer_id] = (response, kernel.now - started)
-            pending["count"] -= 1
-
-        pending["count"] += 1
-        try:
-            transport.send_async(
-                peer_id,
-                Message(
-                    kind=MessageKind.SNAPSHOT_REQUEST,
-                    sender=requester_id,
-                    payload={"probe": True, "chunk_size": chunk_size},
-                ),
-                on_response=on_response,
-            )
-        except TransportError:
-            pending["count"] -= 1
-    while pending["count"] > 0 and kernel.step():
-        pass
-    for peer_id in candidates:
-        response, rtt = results.get(peer_id, (None, 0.0))
+        response, arrived_at = answers.get(peer_id, (None, started))
         if response is None or response.is_error:
             continue
         probes.append(
             PeerProbe(
                 peer_id=peer_id,
-                rtt_ms=round(rtt, 6),
+                rtt_ms=round(arrived_at - started, 6),
                 load=int(response.payload.get("load", 0)),
                 manifest=SnapshotManifest.from_dict(response.payload["manifest"]),
             )
@@ -410,36 +353,27 @@ def rank_bootstrap_peers(
 def _request_wave(
     transport: "InMemoryTransport",
     requester_id: str,
-    requests: Sequence[tuple[int, str, dict]],
-) -> dict[int, Optional[Message]]:
+    requests: Sequence[tuple[_Key, str, dict]],
+) -> dict[_Key, tuple[Optional[Message], float]]:
     """Issue one ``SNAPSHOT_REQUEST`` per ``(key, recipient, payload)`` item.
 
-    Under a kernel the whole wave departs at the same virtual instant via
+    The whole wave departs at the same virtual instant via
     :meth:`~repro.network.transport.InMemoryTransport.send_async` and the
     kernel is stepped until every response (or its loss notice) has landed —
-    the wave costs the *slowest* round trip, not the sum.  On a synchronous
-    transport the requests simply run back to back.
+    the wave costs the *slowest* round trip, not the sum.  Each key maps to
+    its response (``None`` for an unknown recipient or a silent handler)
+    and the virtual time it landed.
     """
-    responses: dict[int, Optional[Message]] = {}
     kernel = transport.kernel
-    if kernel is None:
-        for key, recipient, payload in requests:
-            request = Message(
-                kind=MessageKind.SNAPSHOT_REQUEST, sender=requester_id, payload=payload
-            )
-            try:
-                responses[key] = transport.send(recipient, request)
-            except TransportError:
-                responses[key] = None
-        return responses
+    responses: dict[_Key, tuple[Optional[Message], float]] = {}
     pending = {"count": 0}
     for key, recipient, payload in requests:
         request = Message(
             kind=MessageKind.SNAPSHOT_REQUEST, sender=requester_id, payload=payload
         )
 
-        def on_response(response: Optional[Message], key: int = key) -> None:
-            responses[key] = response
+        def on_response(response: Optional[Message], key: _Key = key) -> None:
+            responses[key] = (response, kernel.now)
             pending["count"] -= 1
 
         pending["count"] += 1
@@ -447,7 +381,7 @@ def _request_wave(
             transport.send_async(recipient, request, on_response=on_response)
         except TransportError:
             pending["count"] -= 1
-            responses[key] = None
+            responses[key] = (None, kernel.now)
     while pending["count"] > 0 and kernel.step():
         pass
     return responses
@@ -460,7 +394,7 @@ def _striped_requests(
     chunk_size: int,
 ) -> dict[int, Optional[Message]]:
     """One concurrent wave of chunk requests, one per ``(index, donor)``."""
-    return _request_wave(
+    wave = _request_wave(
         transport,
         requester_id,
         [
@@ -468,6 +402,7 @@ def _striped_requests(
             for index, donor in assignments
         ],
     )
+    return {index: response for index, (response, _) in wave.items()}
 
 
 def fetch_snapshot_striped(

@@ -34,7 +34,7 @@ from repro.network.node import (
 
 
 def _sync_simulator(**kwargs):
-    """A synchronous (kernel-less) deployment that keeps every block."""
+    """A deployment on a private kernel that keeps every block."""
     kwargs.setdefault("config", ChainConfig(sequence_length=3))
     return NetworkSimulator(anchor_count=kwargs.pop("anchor_count", 3), **kwargs)
 

@@ -1,6 +1,6 @@
 """Stateful convergence fuzzing: random interleavings must converge.
 
-A Hypothesis rule-based state machine drives a synchronous three-anchor
+A Hypothesis rule-based state machine drives a three-anchor
 deployment through random interleavings of the operations a real deployment
 sees — submit, delete, deferred-batch seal, partition, heal, sync — and, in
 the adversarial variant, one byzantine actor from :mod:`repro.adversary`
@@ -189,8 +189,9 @@ class AdversarialConvergenceMachine(ConvergenceMachine):
     """The same interleavings with one byzantine actor woven in.
 
     The actor kind is part of the fuzzed input: equivocating producer,
-    deletion forger, or digest spoofer (clock skew needs a kernel-backed
-    deployment and is exercised by the ``clock-skew`` scenario instead).
+    deletion forger, or digest spoofer (clock skew needs chains on a shared
+    kernel's ``SimulationClock`` and is exercised by the ``clock-skew``
+    scenario instead).
     Honest replicas must *still* end byte-identical, and the forger's
     unauthorized deletions must never be approved.
     """

@@ -125,6 +125,16 @@ class TestClosedLoopGoldenPin:
         assert digest == self.DIGESTS[(name, seed)]
 
 
+class TestScenarioHelpers:
+    def test_ack_reference_annotations_resolve(self):
+        import typing
+
+        from repro.network.message import Message
+        from repro.network.scenarios import _ack_reference
+
+        assert typing.get_type_hints(_ack_reference)["response"] is Message
+
+
 class TestCatalogueDocsSync:
     """docs/ARCHITECTURE.md's scenario table mirrors the live catalogue."""
 
@@ -259,13 +269,6 @@ class TestScheduledFaults:
         assert transport.send("b", Message(kind=MessageKind.ACK, sender="a")).is_error
         kernel.run_until(250.0)
         assert not transport.send("b", Message(kind=MessageKind.ACK, sender="a")).is_error
-
-    def test_fault_scheduling_requires_kernel(self):
-        from repro.network import TransportError
-
-        transport = InMemoryTransport()
-        with pytest.raises(TransportError):
-            transport.schedule_heal(10.0)
 
 
 class TestScenarioOutcomes:

@@ -17,6 +17,7 @@ from repro.network import (
     ClientNode,
     EventKernel,
     GossipOverlay,
+    GeoLatencyModel,
     GossipTopology,
     InMemoryTransport,
     LatencyModel,
@@ -438,30 +439,52 @@ class TestLoadAwareBootstrap:
     def test_probe_returns_manifest_and_load_without_data(self):
         transport, nodes, ids = build_network()
         nodes[ids[0]].chain.add_entry_block(login("ALPHA"), "ALPHA")
-        from repro.sync import probe_snapshot_peer
+        from repro.network.message import MessageKind
+        from repro.sync import rank_bootstrap_peers
 
-        probe = probe_snapshot_peer(transport, "rescue", ids[0])
-        assert probe is not None
+        (probe,) = rank_bootstrap_peers(transport, "rescue", [ids[0]])
+        assert probe.peer_id == ids[0]
         assert probe.load == 0
+        assert probe.rtt_ms > 0
         assert probe.manifest.head_hash == nodes[ids[0]].chain.head.block_hash
         assert nodes[ids[0]].sync_stats["snapshot_probes_served"] == 1
         # The probe shipped no chunk data (that is its whole point).
-        served = transport.messages_of_kind(
-            __import__("repro.network.message", fromlist=["MessageKind"]).MessageKind.SNAPSHOT_CHUNK
-        )
+        served = transport.messages_of_kind(MessageKind.SNAPSHOT_CHUNK)
         assert served and "data" not in served[-1].payload
 
-    def test_ranking_prefers_near_and_lightly_loaded_peers(self):
-        transport, nodes, ids = build_network()
+    def test_ranking_breaks_rtt_ties_by_load(self):
+        transport, nodes, ids = build_network(
+            transport=InMemoryTransport(LatencyModel(minimum_ms=5, maximum_ms=5))
+        )
         from repro.sync import rank_bootstrap_peers
 
         # Load one peer: serving chunks bumps its advertised load.
         nodes[ids[1]].sync_stats["chunks_served"] = 9
         ranked = rank_bootstrap_peers(transport, "rescue", ids)
-        # Synchronous transport: every peer is equally near (rtt 0), so load
-        # then peer id decide — the loaded peer ranks last.
+        # Fixed latency: every peer is equally near, so load then peer id
+        # decide — the loaded peer ranks last.
+        assert {probe.rtt_ms for probe in ranked} == {10.0}
         assert [probe.peer_id for probe in ranked] == [ids[0], ids[2], ids[1]]
         assert ranked[-1].load == 9
+
+    def test_ranking_prefers_a_near_loaded_peer_over_a_far_idle_one(self):
+        latency = GeoLatencyModel(
+            minimum_ms=5,
+            maximum_ms=5,
+            regions={"rescue": "eu", "anchor-1": "eu"},
+            default_region="us",
+            cross_region_ms=80.0,
+        )
+        transport, nodes, ids = build_network(transport=InMemoryTransport(latency))
+        from repro.sync import rank_bootstrap_peers
+
+        nodes[ids[1]].sync_stats["chunks_served"] = 9
+        ranked = rank_bootstrap_peers(transport, "rescue", ids)
+        # Proximity dominates: a bootstrap is dozens of round trips, so the
+        # same-region peer leads despite its serving load.
+        assert [probe.peer_id for probe in ranked] == [ids[1], ids[0], ids[2]]
+        assert [probe.rtt_ms for probe in ranked] == [10.0, 170.0, 170.0]
+        assert [probe.load for probe in ranked] == [9, 0, 0]
 
     def test_unreachable_peers_drop_out_of_the_ranking(self):
         transport, nodes, ids = build_network()

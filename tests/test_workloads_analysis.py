@@ -1,5 +1,7 @@
 """Tests for workload generators, analysis metrics, attack model, reports, CLI."""
 
+import tempfile
+
 import pytest
 
 from repro.analysis import (
@@ -233,6 +235,20 @@ class TestCli:
         assert cli_main(["scenario", "--cycles", "1"]) == 0
         output = capsys.readouterr().out
         assert "genesis marker" in output
+
+    def test_scenario_command_via_remote_anchors(self, capsys):
+        assert cli_main(["scenario", "--via", "remote", "--cycles", "1"]) == 0
+        output = capsys.readouterr().out
+        assert "3 anchor nodes" in output
+        assert "replicas in sync: True" in output
+
+    def test_parity_command(self, capsys, monkeypatch, tmp_path):
+        # The WAL backend journals into a fresh temporary directory.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert cli_main(["parity"]) == 0
+        output = capsys.readouterr().out
+        assert "statistics identical across backends: True" in output
+        assert "replicas in sync: True" in output
 
     def test_growth_command(self, capsys):
         assert cli_main(["growth", "--events", "40"]) == 0
